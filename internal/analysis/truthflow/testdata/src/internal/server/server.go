@@ -27,5 +27,27 @@ func HandleGood(ix *engine.DatasetIndex, m *mechanism.Laplace) ReleasePayload {
 	return ReleasePayload{Counts: counts}
 }
 
+// HandleBodyLeak appends the raw histogram straight into a response
+// body, the byte path that bypasses every wire struct: flagged at the
+// appender.
+func HandleBodyLeak(ix *engine.DatasetIndex) []byte {
+	b, _ := appendFloats(nil, ix.Histogram()) // want `release body`
+	return b
+}
+
+// HandleBodyGood appends the sanitized release: accepted.
+func HandleBodyGood(ix *engine.DatasetIndex, m *mechanism.Laplace) []byte {
+	b, _ := appendFloats(nil, engine.GoodRelease(ix, m))
+	return b
+}
+
+// appendFloats stands in for the release-body float appender.
+func appendFloats(dst []byte, vs []float64) ([]byte, error) {
+	for range vs {
+		dst = append(dst, '0')
+	}
+	return dst, nil
+}
+
 // forward is the intermediate helper the taint crosses.
 func forward(v []float64) []float64 { return v }

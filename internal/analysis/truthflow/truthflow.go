@@ -19,9 +19,10 @@
 // cleans the assigned variable, which is how the release packages'
 // own bodies derive clean without per-function configuration. Sinks
 // are the escape surfaces: fields of wire structs in internal/service
-// and internal/server, wal Log.Append payloads, codec.AppendFrame,
-// metrics label values and registered Collector closures, and log/slog
-// arguments.
+// and internal/server, the server's float appenders that write release
+// bodies without encoding/json, wal Log.Append payloads,
+// codec.AppendFrame, metrics label values and registered Collector
+// closures, and log/slog arguments.
 //
 // Taint propagates through assignments, slice aliasing (append,
 // sub-slicing, and the pooled staging buffers: a pooled slice passed to
@@ -173,6 +174,8 @@ func (c *Config) fill() {
 			{Pkg: "internal/metrics", Recv: "HistogramVec", Name: "With", Desc: "metrics label value"},
 			{Pkg: "internal/metrics", Recv: "Registry", Name: "RegisterCollector", Desc: "metrics collector"},
 			{Pkg: "log/slog", Name: "*", Desc: "log argument"},
+			{Pkg: "internal/server", Name: "appendFloat", Args: []int{1}, Desc: "release body"},
+			{Pkg: "internal/server", Name: "appendFloats", Args: []int{1}, Desc: "release body"},
 		}
 	}
 	if len(c.WirePackages) == 0 {

@@ -93,4 +93,5 @@ const (
 	CodeDatasetInUse    = service.CodeDatasetInUse
 	CodeDurability      = service.CodeDurability
 	CodeQueueFull       = service.CodeQueueFull
+	CodeInternal        = service.CodeInternal
 )

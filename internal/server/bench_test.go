@@ -59,6 +59,17 @@ func BenchmarkServerHistogramRelease(b *testing.B) {
 	}
 }
 
+func BenchmarkServerCumulativeRelease(b *testing.B) {
+	s, dsID, sessID := benchFixture(b, GraphSpec{Kind: "l1", Theta: 16})
+	body, _ := json.Marshal(CumulativeRequest{DatasetID: dsID, Epsilon: 0.01})
+	path := "/v1/sessions/" + sessID + "/releases/cumulative"
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		release(b, s, path, body)
+	}
+}
+
 func BenchmarkServerHistogramReleaseParallel(b *testing.B) {
 	s, dsID, sessID := benchFixture(b, GraphSpec{Kind: "l1", Theta: 16})
 	body, _ := json.Marshal(HistogramRequest{DatasetID: dsID, Epsilon: 0.01})

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"net/http"
 
@@ -34,19 +33,13 @@ func httpStatus(code string) int {
 		return http.StatusConflict
 	case CodeDomainMismatch:
 		return http.StatusUnprocessableEntity
-	case CodeDurability:
+	case CodeDurability, CodeInternal:
 		return http.StatusInternalServerError
 	case CodeQueueFull:
 		return http.StatusTooManyRequests
 	default:
 		return http.StatusBadRequest
 	}
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
 }
 
 func writeError(w http.ResponseWriter, code, message string) {

@@ -140,7 +140,7 @@ func (s *Server) handleHistogram(w http.ResponseWriter, r *http.Request) {
 		writeServiceError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeRelease(w, resp, encodeHistogram)
 }
 
 func (s *Server) handleCumulative(w http.ResponseWriter, r *http.Request) {
@@ -153,7 +153,7 @@ func (s *Server) handleCumulative(w http.ResponseWriter, r *http.Request) {
 		writeServiceError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeRelease(w, resp, encodeCumulative)
 }
 
 func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
@@ -166,7 +166,7 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 		writeServiceError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeRelease(w, resp, encodeRange)
 }
 
 // handleCheckpoint triggers a manual checkpoint. An in-memory service has

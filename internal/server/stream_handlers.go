@@ -23,21 +23,24 @@ import (
 // memory — and the binary columnar batch frame (Content-Type
 // application/x-blowfish-batch, internal/codec), which decodes with no
 // per-event allocation for producers that saturate the NDJSON front. The
-// decode needs the dataset's attribute count, so the front resolves the
-// dataset first (a 404 costs no body parse); the service re-resolves it
-// under its own locks when the batch is submitted.
+// binary decode needs the dataset's attribute count, so for that encoding
+// the front resolves the dataset first (a 404 costs no body parse). The
+// JSON encodings are resolved by the service alone, when the batch is
+// submitted: GetDataset reads the row count under the table's read lock,
+// and a producer must reach the bounded queue (202 or 429) without
+// queueing behind a table writer.
 func (s *Server) handleDatasetEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	ds, err := s.svc.GetDataset(id)
-	if err != nil {
-		writeServiceError(w, err)
-		return
-	}
 	maxEvents := s.cfg.MaxEventsPerRequest
 	var events []blowfish.StreamEvent
 	var wait bool
 	switch {
 	case isBinaryBatch(r):
+		ds, err := s.svc.GetDataset(id)
+		if err != nil {
+			writeServiceError(w, err)
+			return
+		}
 		dec := codec.GetDecoder()
 		// The decoded events alias the decoder's scratch. The service's
 		// ingest path copies them into mutations before returning and the
@@ -203,7 +206,7 @@ func (s *Server) handleCloseEpoch(w http.ResponseWriter, r *http.Request) {
 		writeServiceError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeRelease(w, resp, encodeEpochRelease)
 }
 
 // handleStreamReleases answers a cursor poll over the stream's published
@@ -234,5 +237,5 @@ func (s *Server) handleStreamReleases(w http.ResponseWriter, r *http.Request) {
 		writeServiceError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeRelease(w, resp, encodeStreamReleases)
 }

@@ -22,6 +22,9 @@ const (
 	CodeDatasetInUse    = "dataset_in_use"
 	CodeDurability      = "durability_error"
 	CodeQueueFull       = "queue_full"
+	// CodeInternal reports a response the front could not encode (a
+	// NaN or infinity in a float field).
+	CodeInternal = "internal_error"
 )
 
 // Codes is the canonical registry of every error code the service can
@@ -42,6 +45,7 @@ var Codes = []string{
 	CodeDatasetInUse,
 	CodeDurability,
 	CodeQueueFull,
+	CodeInternal,
 }
 
 // Error is the structured service failure every Core method reports:

@@ -280,16 +280,8 @@ func (l *Log) Append(kind byte, data []byte) (uint64, error) {
 	}
 	l.lsn = lsn
 	if l.opts.Fsync == FsyncAlways {
-		start := time.Time{}
-		if l.opts.Metrics != nil {
-			start = time.Now()
-		}
-		if err := l.f.Sync(); err != nil {
-			l.failed = fmt.Errorf("wal: fsync failed, log is read-only: %w", err)
-			return 0, l.failed
-		}
-		if l.opts.Metrics != nil {
-			l.opts.Metrics.observeFsync(start)
+		if err := l.fsyncLocked(); err != nil {
+			return 0, err
 		}
 	} else {
 		l.dirty = true
@@ -298,7 +290,9 @@ func (l *Log) Append(kind byte, data []byte) (uint64, error) {
 	return lsn, nil
 }
 
-// Sync forces everything appended so far to stable storage.
+// Sync forces everything appended so far to stable storage. A failed
+// fsync leaves the log failed, as a failed write does: Sync and every
+// later Append return the same error.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -309,18 +303,34 @@ func (l *Log) syncLocked() error {
 	if l.closed || l.f == nil {
 		return nil
 	}
+	if l.failed != nil {
+		return l.failed
+	}
 	if !l.dirty {
 		return nil
 	}
+	if err := l.fsyncLocked(); err != nil {
+		return err
+	}
+	l.dirty = false
+	return nil
+}
+
+// fsyncLocked fsyncs the active segment. A failure is sticky: the kernel
+// may already have dropped the dirty pages it could not write back, so a
+// later fsync that succeeds would vouch for records that are gone (the
+// PostgreSQL "fsyncgate" failure). The log turns read-only until it is
+// reopened and recovery re-reads what actually reached the disk.
+func (l *Log) fsyncLocked() error {
 	start := time.Time{}
 	if l.opts.Metrics != nil {
 		start = time.Now()
 	}
 	if err := l.f.Sync(); err != nil {
-		return err
+		l.failed = fmt.Errorf("wal: fsync failed, log is read-only: %w", err)
+		return l.failed
 	}
 	l.opts.Metrics.observeFsync(start)
-	l.dirty = false
 	return nil
 }
 
@@ -334,6 +344,8 @@ func (l *Log) flushLoop() {
 		case <-l.flushQuit:
 			return
 		case <-t.C:
+			// A failure is recorded in l.failed and surfaces at the next
+			// Append or Sync.
 			_ = l.Sync()
 		}
 	}
@@ -450,7 +462,10 @@ func (l *Log) Checkpoint(lsn uint64) error {
 // rotateLocked closes the active segment and opens a fresh one starting at
 // the next LSN.
 func (l *Log) rotateLocked() error {
-	if err := l.f.Sync(); err != nil {
+	if l.failed != nil {
+		return l.failed
+	}
+	if err := l.fsyncLocked(); err != nil {
 		return err
 	}
 	if err := l.f.Close(); err != nil {

@@ -2,9 +2,11 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -364,5 +366,51 @@ func TestOpenSweepsOrphanedSnapshotTemps(t *testing.T) {
 	l.Close()
 	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
 		t.Fatalf("orphaned snapshot temp survived Open: %v", err)
+	}
+}
+
+// TestFailedIntervalFsyncIsSticky pins the fail-stop rule for the
+// interval policy: once the background fsync fails, the log is
+// read-only. A later fsync that succeeds could not vouch for pages the
+// kernel already dropped, so neither Sync nor Append may report success
+// again.
+func TestFailedIntervalFsyncIsSticky(t *testing.T) {
+	l, err := Open(t.TempDir(), Options{Fsync: FsyncInterval, FsyncInterval: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	appendN(t, l, 3, 1)
+	// Pull the segment out from under the flush ticker: its next fsync
+	// fails.
+	l.mu.Lock()
+	if err := l.f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l.mu.Unlock()
+	deadline := time.Now().Add(5 * time.Second)
+	var sticky error
+	for sticky == nil {
+		if time.Now().After(deadline) {
+			t.Fatal("flush ticker never recorded the failed fsync")
+		}
+		time.Sleep(time.Millisecond)
+		l.mu.Lock()
+		sticky = l.failed
+		l.mu.Unlock()
+	}
+	if !errors.Is(sticky, os.ErrClosed) || !strings.HasPrefix(sticky.Error(), "wal: fsync failed, log is read-only: ") {
+		t.Fatalf("sticky error = %v", sticky)
+	}
+	for i := 0; i < 3; i++ {
+		if err := l.Sync(); err != sticky {
+			t.Fatalf("Sync %d = %v, want the sticky %v", i, err, sticky)
+		}
+		if _, err := l.Append(1, []byte("after")); err != sticky {
+			t.Fatalf("Append %d = %v, want the sticky %v", i, err, sticky)
+		}
+	}
+	if err := l.Checkpoint(l.LastLSN()); err != sticky {
+		t.Fatalf("Checkpoint = %v, want the sticky %v", err, sticky)
 	}
 }
