@@ -9,11 +9,12 @@ import (
 
 func TestLockDiscipline(t *testing.T) {
 	diags := analysistest.Run(t, "testdata", lockdiscipline.Default, "blowfish")
-	if len(diags) != 4 {
-		t.Errorf("want 4 unsuppressed findings, got %d: %v", len(diags), diags)
+	if len(diags) != 6 {
+		t.Errorf("want 6 unsuppressed findings, got %d: %v", len(diags), diags)
 	}
 	analysistest.MustFind(t, diags, `lock order inversion`)
 	analysistest.MustFind(t, diags, `no later matching unlock`)
 	analysistest.MustFind(t, diags, `locked while already held`)
 	analysistest.MustFind(t, diags, `passes a mutex by value`)
+	analysistest.MustFind(t, diags, `called while .* is held`)
 }

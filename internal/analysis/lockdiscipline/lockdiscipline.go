@@ -16,14 +16,20 @@
 //     named Lock/RLock/etc. are exempt: forwarding is their whole job.
 //  3. Rank ordering: with Table ranked before DatasetIndex, acquiring a
 //     lower-ranked lock while a higher-ranked one is still held is an
-//     inversion. Re-acquiring a receiver already held is flagged as a
-//     self-deadlock (Go mutexes are not reentrant).
+//     inversion. Re-acquiring a receiver already held, in any mode, is
+//     flagged as a self-deadlock: Go mutexes are not reentrant, and an
+//     RLock queued behind a waiting writer blocks on the RWMutex its own
+//     goroutine holds for reading. The check looks one call deep into
+//     the package: x.m() made while x.f is held is flagged when m's body
+//     locks its own receiver's f, as a delete that holds a router's
+//     write lock and calls its RLock-taking lookup would.
 package lockdiscipline
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 
 	"blowfish/internal/analysis"
@@ -73,24 +79,61 @@ func run(pass *analysis.Pass, cfg Config) error {
 	for i, name := range cfg.RankOrder {
 		r.ranked[name] = i
 	}
-	for _, file := range pass.Files {
-		name := pass.Fset.Position(file.Pos()).Filename
-		if strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			checkCopies(pass, fd)
-			if fd.Body != nil && !isLockWrapper(fd) {
-				checkPairing(pass, r, fd)
-				checkOrdering(pass, r, fd)
-			}
+	decls := funcDecls(pass)
+	acq := make(acquirers)
+	for _, fd := range decls {
+		acq.summarize(pass, r, fd)
+	}
+	for _, fd := range decls {
+		checkCopies(pass, fd)
+		if fd.Body != nil && !isLockWrapper(fd) {
+			checkPairing(pass, r, acq, fd)
+			checkOrdering(pass, r, acq, fd)
 		}
 	}
 	return nil
+}
+
+// funcDecls lists the package's non-test function declarations.
+func funcDecls(pass *analysis.Pass) []*ast.FuncDecl {
+	var out []*ast.FuncDecl
+	for _, file := range pass.Files {
+		if strings.HasSuffix(pass.Fset.Position(file.Pos()).Filename, "_test.go") {
+			continue
+		}
+		for _, decl := range file.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok {
+				out = append(out, fd)
+			}
+		}
+	}
+	return out
+}
+
+// acquirers maps each method declared in the package to the receiver
+// locks its own body acquires, in any mode, as the suffix after the
+// receiver name ("" for the receiver itself, ".mu" for a field).
+type acquirers map[*types.Func][]string
+
+func (a acquirers) summarize(pass *analysis.Pass, r *ranks, fd *ast.FuncDecl) {
+	if fd.Body == nil || fd.Recv == nil || len(fd.Recv.List[0].Names) == 0 {
+		return
+	}
+	fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
+	if !ok {
+		return
+	}
+	self := fd.Recv.List[0].Names[0].Name
+	for _, e := range collectEvents(pass, r, nil, fd) {
+		if !e.acquire {
+			continue
+		}
+		if suffix, ok := strings.CutPrefix(e.recv, self); ok && (suffix == "" || suffix[0] == '.') {
+			if !slices.Contains(a[fn], suffix) {
+				a[fn] = append(a[fn], suffix)
+			}
+		}
+	}
 }
 
 // isLockWrapper exempts forwarding methods like Table.RLock.
@@ -179,15 +222,18 @@ type lockEvent struct {
 	acquire  bool
 	deferred bool
 	read     bool // RLock/RUnlock
+	// callee is set on a call event: a same-package method call whose
+	// body acquires recv (the call's receiver plus the locked suffix).
+	callee string
 }
 
-func checkPairing(pass *analysis.Pass, r *ranks, fd *ast.FuncDecl) {
-	events := collectEvents(pass, r, fd)
+func checkPairing(pass *analysis.Pass, r *ranks, acq acquirers, fd *ast.FuncDecl) {
+	events := collectEvents(pass, r, acq, fd)
 	// Method-value references (e.relMu.Unlock handed out as a closure)
 	// count as releases anywhere later in the function.
 	releases := releaseMentions(pass, fd)
 	for _, e := range events {
-		if !e.acquire {
+		if !e.acquire || e.callee != "" {
 			continue
 		}
 		paired := false
@@ -209,10 +255,18 @@ func checkPairing(pass *analysis.Pass, r *ranks, fd *ast.FuncDecl) {
 	}
 }
 
-func checkOrdering(pass *analysis.Pass, r *ranks, fd *ast.FuncDecl) {
-	events := collectEvents(pass, r, fd)
+func checkOrdering(pass *analysis.Pass, r *ranks, acq acquirers, fd *ast.FuncDecl) {
+	events := collectEvents(pass, r, acq, fd)
 	held := make(map[string]lockEvent) // recv -> acquiring event
 	for _, e := range events {
+		if e.callee != "" {
+			if _, ok := held[e.recv]; ok {
+				pass.Reportf(e.pos,
+					"%s called while %s is held in this function: its body acquires %s again, and Go mutexes are not reentrant, this self-deadlocks",
+					e.callee, e.recv, e.recv)
+			}
+			continue
+		}
 		if !e.acquire {
 			// A deferred unlock runs at function exit, not here; only a
 			// direct unlock ends the hold at this point in the order.
@@ -221,7 +275,7 @@ func checkOrdering(pass *analysis.Pass, r *ranks, fd *ast.FuncDecl) {
 			}
 			continue
 		}
-		if prev, ok := held[e.recv]; ok && prev.read == e.read && !e.read {
+		if _, ok := held[e.recv]; ok {
 			pass.Reportf(e.pos,
 				"%s locked while already held in this function: Go mutexes are not reentrant, this self-deadlocks", e.recv)
 		}
@@ -240,15 +294,21 @@ func checkOrdering(pass *analysis.Pass, r *ranks, fd *ast.FuncDecl) {
 }
 
 // collectEvents walks the body in source order gathering lock/unlock
-// calls. Receivers are compared by rendered source text — an
+// calls and, given acquirer summaries, the calls to methods that lock
+// their receiver (deferred and go calls do not run here and are not
+// call events). Receivers are compared by rendered source text — an
 // approximation that is exact for the field-selector receivers the
 // repository uses (s.mu, de.tbl, x.mu).
-func collectEvents(pass *analysis.Pass, r *ranks, fd *ast.FuncDecl) []lockEvent {
+func collectEvents(pass *analysis.Pass, r *ranks, acq acquirers, fd *ast.FuncDecl) []lockEvent {
 	var events []lockEvent
+	spawned := make(map[*ast.CallExpr]bool)
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		deferred := false
 		var call *ast.CallExpr
 		switch n := n.(type) {
+		case *ast.GoStmt:
+			spawned[n.Call] = true
+			return true
 		case *ast.DeferStmt:
 			call, deferred = n.Call, true
 		case *ast.CallExpr:
@@ -270,6 +330,15 @@ func collectEvents(pass *analysis.Pass, r *ranks, fd *ast.FuncDecl) []lockEvent 
 		case "RUnlock":
 			read = true
 		default:
+			if fn := analysis.CalleeFunc(pass.TypesInfo, call); fn != nil && !deferred && !spawned[call] {
+				for _, suffix := range acq[fn.Origin()] {
+					events = append(events, lockEvent{
+						pos:    call.Pos(),
+						recv:   types.ExprString(sel.X) + suffix,
+						callee: types.ExprString(sel),
+					})
+				}
+			}
 			return !deferred
 		}
 		if !isLockTarget(pass.TypesInfo, call, r.ranked) {

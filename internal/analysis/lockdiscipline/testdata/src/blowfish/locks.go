@@ -83,3 +83,44 @@ func release(x *DatasetIndex) {
 	x.counts = nil
 	x.mu.Unlock()
 }
+
+// Router mimics shard.Router: an RW lock over a routing table, with
+// creates and deletes holding it for writing.
+type Router struct {
+	mu     sync.RWMutex
+	routes map[string]int
+}
+
+// route takes the read lock for a lookup.
+func (r *Router) route(id string) int {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.routes[id]
+}
+
+// UpgradeInPlace read-locks a receiver it already holds for writing.
+func (r *Router) UpgradeInPlace(id string) int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.mu.RLock() // want `locked while already held`
+	defer r.mu.RUnlock()
+	return r.routes[id]
+}
+
+// DeleteUnderLock calls a helper that read-locks the receiver while the
+// write lock is held: a self-deadlock one call deep.
+func (r *Router) DeleteUnderLock(id string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	_ = r.route(id) // want `r.route called while r.mu is held`
+	delete(r.routes, id)
+}
+
+// DeleteAfterUnlock releases the write lock before calling the helper:
+// accepted.
+func (r *Router) DeleteAfterUnlock(id string) int {
+	r.mu.Lock()
+	delete(r.routes, id)
+	r.mu.Unlock()
+	return r.route(id)
+}

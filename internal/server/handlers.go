@@ -28,145 +28,68 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handleCreatePolicy(w http.ResponseWriter, r *http.Request) {
-	var req CreatePolicyRequest
-	if !decodeJSON(w, r, &req) {
-		return
+// The resource endpoints share five call shapes, one handler
+// constructor each; routes() binds them to the service's methods.
+
+// create decodes a Req body, creates through call and answers 201.
+func create[Req, Resp any](call func(Req) (Resp, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req Req
+		if !decodeJSON(w, r, &req) {
+			return
+		}
+		resp, err := call(req)
+		if err != nil {
+			writeServiceError(w, err)
+			return
+		}
+		writeJSON(w, http.StatusCreated, resp)
 	}
-	resp, err := s.svc.CreatePolicy(req)
-	if err != nil {
-		writeServiceError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, resp)
 }
 
-func (s *Server) handleGetPolicy(w http.ResponseWriter, r *http.Request) {
-	resp, err := s.svc.GetPolicy(r.PathValue("id"))
-	if err != nil {
-		writeServiceError(w, err)
-		return
+// get answers the resource named by the {id} path value.
+func get[Resp any](call func(id string) (Resp, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		resp, err := call(r.PathValue("id"))
+		if err != nil {
+			writeServiceError(w, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, resp)
 	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
-func (s *Server) handleListPolicies(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.svc.ListPolicies())
+// list answers a list envelope; listing cannot fail.
+func list[Resp any](call func() Resp) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) { writeJSON(w, http.StatusOK, call()) }
 }
 
-func (s *Server) handleDeletePolicy(w http.ResponseWriter, r *http.Request) {
-	if err := s.svc.DeletePolicy(r.PathValue("id")); err != nil {
-		writeServiceError(w, err)
-		return
+// remove deletes the resource named by {id} and answers 204.
+func remove(call func(id string) error) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if err := call(r.PathValue("id")); err != nil {
+			writeServiceError(w, err)
+			return
+		}
+		w.WriteHeader(http.StatusNoContent)
 	}
-	w.WriteHeader(http.StatusNoContent)
 }
 
-func (s *Server) handleCreateDataset(w http.ResponseWriter, r *http.Request) {
-	var req CreateDatasetRequest
-	if !decodeJSON(w, r, &req) {
-		return
+// sessionRelease decodes a Req body, draws a release from the session
+// named by {id} and writes it with its release encoder.
+func sessionRelease[Req, Resp any](call func(id string, req Req) (Resp, error), encode func(*bodyBuf, Resp)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req Req
+		if !decodeJSON(w, r, &req) {
+			return
+		}
+		resp, err := call(r.PathValue("id"), req)
+		if err != nil {
+			writeServiceError(w, err)
+			return
+		}
+		writeRelease(w, resp, encode)
 	}
-	resp, err := s.svc.CreateDataset(req)
-	if err != nil {
-		writeServiceError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, resp)
-}
-
-func (s *Server) handleGetDataset(w http.ResponseWriter, r *http.Request) {
-	resp, err := s.svc.GetDataset(r.PathValue("id"))
-	if err != nil {
-		writeServiceError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleListDatasets(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.svc.ListDatasets())
-}
-
-func (s *Server) handleDeleteDataset(w http.ResponseWriter, r *http.Request) {
-	if err := s.svc.DeleteDataset(r.PathValue("id")); err != nil {
-		writeServiceError(w, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
-	var req CreateSessionRequest
-	if !decodeJSON(w, r, &req) {
-		return
-	}
-	resp, err := s.svc.CreateSession(req)
-	if err != nil {
-		writeServiceError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, resp)
-}
-
-func (s *Server) handleGetSession(w http.ResponseWriter, r *http.Request) {
-	resp, err := s.svc.GetSession(r.PathValue("id"))
-	if err != nil {
-		writeServiceError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleListSessions(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.svc.ListSessions())
-}
-
-func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
-	if err := s.svc.DeleteSession(r.PathValue("id")); err != nil {
-		writeServiceError(w, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-func (s *Server) handleHistogram(w http.ResponseWriter, r *http.Request) {
-	var req HistogramRequest
-	if !decodeJSON(w, r, &req) {
-		return
-	}
-	resp, err := s.svc.Histogram(r.PathValue("id"), req)
-	if err != nil {
-		writeServiceError(w, err)
-		return
-	}
-	writeRelease(w, resp, encodeHistogram)
-}
-
-func (s *Server) handleCumulative(w http.ResponseWriter, r *http.Request) {
-	var req CumulativeRequest
-	if !decodeJSON(w, r, &req) {
-		return
-	}
-	resp, err := s.svc.Cumulative(r.PathValue("id"), req)
-	if err != nil {
-		writeServiceError(w, err)
-		return
-	}
-	writeRelease(w, resp, encodeCumulative)
-}
-
-func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
-	var req RangeRequest
-	if !decodeJSON(w, r, &req) {
-		return
-	}
-	resp, err := s.svc.Range(r.PathValue("id"), req)
-	if err != nil {
-		writeServiceError(w, err)
-		return
-	}
-	writeRelease(w, resp, encodeRange)
 }
 
 // handleCheckpoint triggers a manual checkpoint. An in-memory service has

@@ -122,26 +122,26 @@ func NewWith(svc Service) *Server {
 
 func (s *Server) routes() {
 	s.handle("GET /v1/healthz", s.handleHealth)
-	s.handle("POST /v1/policies", s.handleCreatePolicy)
-	s.handle("GET /v1/policies", s.handleListPolicies)
-	s.handle("GET /v1/policies/{id}", s.handleGetPolicy)
-	s.handle("DELETE /v1/policies/{id}", s.handleDeletePolicy)
-	s.handle("POST /v1/datasets", s.handleCreateDataset)
-	s.handle("GET /v1/datasets", s.handleListDatasets)
-	s.handle("GET /v1/datasets/{id}", s.handleGetDataset)
-	s.handle("DELETE /v1/datasets/{id}", s.handleDeleteDataset)
+	s.handle("POST /v1/policies", create(s.svc.CreatePolicy))
+	s.handle("GET /v1/policies", list(s.svc.ListPolicies))
+	s.handle("GET /v1/policies/{id}", get(s.svc.GetPolicy))
+	s.handle("DELETE /v1/policies/{id}", remove(s.svc.DeletePolicy))
+	s.handle("POST /v1/datasets", create(s.svc.CreateDataset))
+	s.handle("GET /v1/datasets", list(s.svc.ListDatasets))
+	s.handle("GET /v1/datasets/{id}", get(s.svc.GetDataset))
+	s.handle("DELETE /v1/datasets/{id}", remove(s.svc.DeleteDataset))
 	s.handle("POST /v1/datasets/{id}/events", s.handleDatasetEvents)
-	s.handle("POST /v1/sessions", s.handleCreateSession)
-	s.handle("GET /v1/sessions", s.handleListSessions)
-	s.handle("GET /v1/sessions/{id}", s.handleGetSession)
-	s.handle("DELETE /v1/sessions/{id}", s.handleDeleteSession)
-	s.handle("POST /v1/sessions/{id}/releases/histogram", s.handleHistogram)
-	s.handle("POST /v1/sessions/{id}/releases/cumulative", s.handleCumulative)
-	s.handle("POST /v1/sessions/{id}/releases/range", s.handleRange)
-	s.handle("POST /v1/streams", s.handleCreateStream)
-	s.handle("GET /v1/streams", s.handleListStreams)
-	s.handle("GET /v1/streams/{id}", s.handleGetStream)
-	s.handle("DELETE /v1/streams/{id}", s.handleDeleteStream)
+	s.handle("POST /v1/sessions", create(s.svc.CreateSession))
+	s.handle("GET /v1/sessions", list(s.svc.ListSessions))
+	s.handle("GET /v1/sessions/{id}", get(s.svc.GetSession))
+	s.handle("DELETE /v1/sessions/{id}", remove(s.svc.DeleteSession))
+	s.handle("POST /v1/sessions/{id}/releases/histogram", sessionRelease(s.svc.Histogram, encodeHistogram))
+	s.handle("POST /v1/sessions/{id}/releases/cumulative", sessionRelease(s.svc.Cumulative, encodeCumulative))
+	s.handle("POST /v1/sessions/{id}/releases/range", sessionRelease(s.svc.Range, encodeRange))
+	s.handle("POST /v1/streams", create(s.svc.CreateStream))
+	s.handle("GET /v1/streams", list(s.svc.ListStreams))
+	s.handle("GET /v1/streams/{id}", get(s.svc.GetStream))
+	s.handle("DELETE /v1/streams/{id}", remove(s.svc.DeleteStream))
 	s.handle("POST /v1/streams/{id}/epochs", s.handleCloseEpoch)
 	s.handle("GET /v1/streams/{id}/releases", s.handleStreamReleases)
 	s.handle("POST /v1/admin/checkpoint", s.handleCheckpoint)

@@ -163,40 +163,6 @@ func (sc *ndjsonScratch) decode(body io.Reader, max int) error {
 	return nil
 }
 
-func (s *Server) handleCreateStream(w http.ResponseWriter, r *http.Request) {
-	var req CreateStreamRequest
-	if !decodeJSON(w, r, &req) {
-		return
-	}
-	resp, err := s.svc.CreateStream(req)
-	if err != nil {
-		writeServiceError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, resp)
-}
-
-func (s *Server) handleGetStream(w http.ResponseWriter, r *http.Request) {
-	resp, err := s.svc.GetStream(r.PathValue("id"))
-	if err != nil {
-		writeServiceError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleListStreams(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.svc.ListStreams())
-}
-
-func (s *Server) handleDeleteStream(w http.ResponseWriter, r *http.Request) {
-	if err := s.svc.DeleteStream(r.PathValue("id")); err != nil {
-		writeServiceError(w, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
 // handleCloseEpoch closes the stream's current epoch on demand — the
 // deterministic trigger (automatic interval-driven closes are configured
 // at stream creation).

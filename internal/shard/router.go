@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -38,8 +38,9 @@ type Router struct {
 	// mu guards the id counters and the routing tables. Creates and
 	// deletes hold the write lock across the core call so a policy
 	// broadcast (which touches every core) cannot interleave with a
-	// create that snapshots the policy set; routing lookups take the
-	// read lock only.
+	// create that snapshots the policy set, and read the tables directly
+	// under it. Routing lookups (route) take the read lock only, so route
+	// is never called with mu held: Go's RWMutex is not reentrant.
 	mu     sync.RWMutex
 	nextID [4]uint64 // policy, dataset, session, stream counters
 	// Routing tables, id -> shard index. Not registries and not
@@ -49,12 +50,6 @@ type Router struct {
 	sessShard   map[string]int
 	streamShard map[string]int
 }
-
-// interface check: the router must stay substitutable for a single core.
-var _ interface {
-	Config() service.Config
-	Registries() []*metrics.Registry
-} = (*Router)(nil)
 
 // New creates an in-memory router over n cores.
 func New(cfg service.Config, n int) (*Router, error) {
@@ -215,17 +210,67 @@ func (r *Router) mint(kind int, prefix string) string {
 	return prefix + "-" + strconv.FormatUint(r.nextID[kind], 10)
 }
 
-// route resolves an id through one routing table, falling back to shard 0
-// on a miss so the core produces its own structured unknown-* error — the
-// router never invents error messages of its own.
+// route resolves an id through one routing table. A miss reads shard 0,
+// whose core produces its own structured unknown-* error — the router
+// never invents error messages of its own.
 func (r *Router) route(m map[string]int, id string) *service.Core {
 	r.mu.RLock()
-	k, ok := m[id]
+	k := m[id]
 	r.mu.RUnlock()
-	if !ok {
-		return r.cores[0]
-	}
 	return r.cores[k]
+}
+
+// create mints an id in namespace kind, places it on the shard of the
+// dataset near (or on ShardFor(id) when near names no known dataset),
+// applies the create there and records the placement in table.
+func create[Req, Resp any](r *Router, kind int, prefix string, table map[string]int, near string,
+	req Req, apply func(*service.Core, string, Req) (Resp, error)) (Resp, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	id := r.mint(kind, prefix)
+	k, ok := r.dsShard[near]
+	if !ok {
+		k = ShardFor(id, len(r.cores))
+	}
+	resp, err := apply(r.cores[k], id, req)
+	if err == nil {
+		table[id] = k
+	}
+	return resp, err
+}
+
+// remove deletes id on the shard table names and drops its route. It
+// reads table directly under the write lock it holds (see mu); a miss
+// reads shard 0, as in route.
+func (r *Router) remove(table map[string]int, id string, del func(*service.Core, string) error) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	k := table[id]
+	if err := del(r.cores[k], id); err != nil {
+		return err
+	}
+	delete(table, id)
+	return nil
+}
+
+// gather scatter-gathers one list endpoint over every shard and orders the
+// merge the way a single core's list would ("ds-2" before "ds-10").
+func gather[E any](r *Router, list func(*service.Core) []E, id func(E) string) []E {
+	out := []E{}
+	for _, c := range r.cores {
+		out = append(out, list(c)...)
+	}
+	slices.SortFunc(out, func(a, b E) int { return service.CompareIDs(id(a), id(b)) })
+	return out
+}
+
+// sum adds up one per-shard count over every shard.
+func (r *Router) sum(count func(*service.Core) int) int {
+	n := 0
+	for _, c := range r.cores {
+		n += count(c)
+	}
+	return n
 }
 
 // --- policies (broadcast) --------------------------------------------------
@@ -285,16 +330,7 @@ func (r *Router) DeletePolicy(id string) error {
 // --- datasets (hashed) -----------------------------------------------------
 
 func (r *Router) CreateDataset(req service.CreateDatasetRequest) (service.DatasetResponse, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	id := r.mint(1, "ds")
-	k := ShardFor(id, len(r.cores))
-	resp, err := r.cores[k].ApplyDataset(id, req)
-	if err != nil {
-		return service.DatasetResponse{}, err
-	}
-	r.dsShard[id] = k
-	return resp, nil
+	return create(r, 1, "ds", r.dsShard, "", req, (*service.Core).ApplyDataset)
 }
 
 func (r *Router) GetDataset(id string) (service.DatasetResponse, error) {
@@ -302,22 +338,13 @@ func (r *Router) GetDataset(id string) (service.DatasetResponse, error) {
 }
 
 func (r *Router) ListDatasets() service.ListDatasetsResponse {
-	out := service.ListDatasetsResponse{Datasets: []service.DatasetResponse{}}
-	for _, c := range r.cores {
-		out.Datasets = append(out.Datasets, c.ListDatasets().Datasets...)
-	}
-	sortByID(out.Datasets, func(d service.DatasetResponse) string { return d.ID })
-	return out
+	return service.ListDatasetsResponse{Datasets: gather(r,
+		func(c *service.Core) []service.DatasetResponse { return c.ListDatasets().Datasets },
+		func(d service.DatasetResponse) string { return d.ID })}
 }
 
 func (r *Router) DeleteDataset(id string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err := r.route(r.dsShard, id).DeleteDataset(id); err != nil {
-		return err
-	}
-	delete(r.dsShard, id)
-	return nil
+	return r.remove(r.dsShard, id, (*service.Core).DeleteDataset)
 }
 
 func (r *Router) IngestEvents(ctx context.Context, datasetID string, events []blowfish.StreamEvent, wait bool) (service.EventsResponse, error) {
@@ -326,22 +353,11 @@ func (r *Router) IngestEvents(ctx context.Context, datasetID string, events []bl
 
 // --- sessions (colocated with their dataset) -------------------------------
 
+// CreateSession places the session with its dataset_id hint. Without a
+// hint (or with an unknown dataset, which the release path will report)
+// it hashes the session's own id.
 func (r *Router) CreateSession(req service.CreateSessionRequest) (service.SessionResponse, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	id := r.mint(2, "sess")
-	k, ok := r.dsShard[req.DatasetID]
-	if !ok {
-		// No placement hint (or an unknown dataset, which the release
-		// path will report): hash the session's own id.
-		k = ShardFor(id, len(r.cores))
-	}
-	resp, err := r.cores[k].ApplySession(id, req)
-	if err != nil {
-		return service.SessionResponse{}, err
-	}
-	r.sessShard[id] = k
-	return resp, nil
+	return create(r, 2, "sess", r.sessShard, req.DatasetID, req, (*service.Core).ApplySession)
 }
 
 func (r *Router) GetSession(id string) (service.SessionResponse, error) {
@@ -349,22 +365,13 @@ func (r *Router) GetSession(id string) (service.SessionResponse, error) {
 }
 
 func (r *Router) ListSessions() service.ListSessionsResponse {
-	out := service.ListSessionsResponse{Sessions: []service.SessionResponse{}}
-	for _, c := range r.cores {
-		out.Sessions = append(out.Sessions, c.ListSessions().Sessions...)
-	}
-	sortByID(out.Sessions, func(s service.SessionResponse) string { return s.ID })
-	return out
+	return service.ListSessionsResponse{Sessions: gather(r,
+		func(c *service.Core) []service.SessionResponse { return c.ListSessions().Sessions },
+		func(s service.SessionResponse) string { return s.ID })}
 }
 
 func (r *Router) DeleteSession(id string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err := r.route(r.sessShard, id).DeleteSession(id); err != nil {
-		return err
-	}
-	delete(r.sessShard, id)
-	return nil
+	return r.remove(r.sessShard, id, (*service.Core).DeleteSession)
 }
 
 func (r *Router) Histogram(sessionID string, req service.HistogramRequest) (service.HistogramResponse, error) {
@@ -381,23 +388,11 @@ func (r *Router) Range(sessionID string, req service.RangeRequest) (service.Rang
 
 // --- streams (colocated with their dataset) --------------------------------
 
+// CreateStream places the stream on its dataset's shard, since a stream
+// binds its dataset's table. An unknown dataset lands on ShardFor(id),
+// whose core reports it.
 func (r *Router) CreateStream(req service.CreateStreamRequest) (service.StreamResponse, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	id := r.mint(3, "stream")
-	// A stream binds its dataset's table, so it must live on the
-	// dataset's shard; an unknown dataset routes to shard 0 for the
-	// structured error.
-	k, ok := r.dsShard[req.DatasetID]
-	if !ok {
-		k = 0
-	}
-	resp, err := r.cores[k].ApplyStream(id, req)
-	if err != nil {
-		return service.StreamResponse{}, err
-	}
-	r.streamShard[id] = k
-	return resp, nil
+	return create(r, 3, "stream", r.streamShard, req.DatasetID, req, (*service.Core).ApplyStream)
 }
 
 func (r *Router) GetStream(id string) (service.StreamResponse, error) {
@@ -405,22 +400,13 @@ func (r *Router) GetStream(id string) (service.StreamResponse, error) {
 }
 
 func (r *Router) ListStreams() service.ListStreamsResponse {
-	out := service.ListStreamsResponse{Streams: []service.StreamResponse{}}
-	for _, c := range r.cores {
-		out.Streams = append(out.Streams, c.ListStreams().Streams...)
-	}
-	sortByID(out.Streams, func(s service.StreamResponse) string { return s.ID })
-	return out
+	return service.ListStreamsResponse{Streams: gather(r,
+		func(c *service.Core) []service.StreamResponse { return c.ListStreams().Streams },
+		func(s service.StreamResponse) string { return s.ID })}
 }
 
 func (r *Router) DeleteStream(id string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err := r.route(r.streamShard, id).DeleteStream(id); err != nil {
-		return err
-	}
-	delete(r.streamShard, id)
-	return nil
+	return r.remove(r.streamShard, id, (*service.Core).DeleteStream)
 }
 
 func (r *Router) CloseEpoch(ctx context.Context, id string) (service.EpochReleaseWire, error) {
@@ -466,10 +452,7 @@ func (r *Router) Checkpoint() (service.CheckpointStats, error) {
 // ExpireSessions sweeps every shard and prunes the routing entries of the
 // sessions the shards dropped.
 func (r *Router) ExpireSessions() int {
-	n := 0
-	for _, c := range r.cores {
-		n += c.ExpireSessions()
-	}
+	n := r.sum((*service.Core).ExpireSessions)
 	if n > 0 {
 		r.mu.Lock()
 		for id, k := range r.sessShard {
@@ -482,29 +465,11 @@ func (r *Router) ExpireSessions() int {
 	return n
 }
 
-func (r *Router) SessionCount() int {
-	n := 0
-	for _, c := range r.cores {
-		n += c.SessionCount()
-	}
-	return n
-}
+func (r *Router) SessionCount() int { return r.sum((*service.Core).SessionCount) }
 
-func (r *Router) StreamCount() int {
-	n := 0
-	for _, c := range r.cores {
-		n += c.StreamCount()
-	}
-	return n
-}
+func (r *Router) StreamCount() int { return r.sum((*service.Core).StreamCount) }
 
-func (r *Router) CloseLeaked() int {
-	n := 0
-	for _, c := range r.cores {
-		n += c.CloseLeaked()
-	}
-	return n
-}
+func (r *Router) CloseLeaked() int { return r.sum((*service.Core).CloseLeaked) }
 
 // Close shuts the shards down concurrently — each drains its own tickers
 // and writers and takes its own final checkpoint.
@@ -534,10 +499,4 @@ func (r *Router) Registries() []*metrics.Registry {
 		out = append(out, c.Metrics())
 	}
 	return out
-}
-
-// sortByID orders a scatter-gathered list the way a single core's list
-// endpoint would ("ds-2" before "ds-10").
-func sortByID[E any](s []E, id func(E) string) {
-	sort.Slice(s, func(i, j int) bool { return service.CompareIDs(id(s[i]), id(s[j])) < 0 })
 }

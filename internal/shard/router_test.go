@@ -1,9 +1,14 @@
 package shard
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
+	"time"
 
 	"blowfish/internal/server"
 	"blowfish/internal/service"
@@ -279,6 +284,10 @@ func TestRouterPolicyBroadcastAtomicity(t *testing.T) {
 func TestRouterUnknownIDErrors(t *testing.T) {
 	r := newTestRouter(t, 4, "")
 	defer r.Close()
+	pol, err := r.CreatePolicy(testPolicy)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		err  error
 		code string
@@ -287,11 +296,91 @@ func TestRouterUnknownIDErrors(t *testing.T) {
 		{func() error { _, err := r.GetSession("sess-999"); return err }(), service.CodeUnknownSession},
 		{func() error { _, err := r.GetStream("stream-999"); return err }(), service.CodeUnknownStream},
 		{func() error { _, err := r.GetPolicy("pol-999"); return err }(), service.CodeUnknownPolicy},
+		{func() error {
+			_, err := r.CreateStream(service.CreateStreamRequest{PolicyID: pol.ID, DatasetID: "ds-999", Budget: 1})
+			return err
+		}(), service.CodeUnknownDataset},
 	} {
 		var se *service.Error
 		if !errors.As(tc.err, &se) || se.Code != tc.code {
 			t.Fatalf("route miss = %v, want code %s", tc.err, tc.code)
 		}
+	}
+}
+
+// TestRouterDeletes drives every DELETE through the HTTP front, over a
+// 4-shard router and over a single core, and requires the same statuses
+// and unknown-* codes from both. Deletes hold the router's write lock
+// across the core call; each request runs under a timer so a lock
+// re-acquired under that hold fails the test instead of hanging it.
+func TestRouterDeletes(t *testing.T) {
+	r := newTestRouter(t, 4, "")
+	defer r.Close()
+	single := server.New(service.Config{Seed: 1})
+	defer single.Close()
+	for _, front := range []struct {
+		name string
+		h    http.Handler
+	}{{"router", server.NewWith(r)}, {"single", single}} {
+		t.Run(front.name, func(t *testing.T) { checkDeletes(t, front.h) })
+	}
+}
+
+func checkDeletes(t *testing.T, h http.Handler) {
+	pol := createID(t, h, "/v1/policies", `{"domain":[{"name":"v","size":16}],"graph":{"kind":"line"}}`)
+	ds := createID(t, h, "/v1/datasets", `{"policy_id":"`+pol+`","rows":[[1],[2]]}`)
+	sess := createID(t, h, "/v1/sessions", `{"policy_id":"`+pol+`","dataset_id":"`+ds+`","budget":1}`)
+	st := createID(t, h, "/v1/streams", `{"policy_id":"`+pol+`","dataset_id":"`+ds+`","budget":1,"epoch":{"epsilon":0.5}}`)
+	for _, tc := range []struct{ path, unknown, code string }{
+		{"/v1/streams/" + st, "/v1/streams/stream-404", service.CodeUnknownStream},
+		{"/v1/sessions/" + sess, "/v1/sessions/sess-404", service.CodeUnknownSession},
+		{"/v1/datasets/" + ds, "/v1/datasets/ds-404", service.CodeUnknownDataset},
+		{"/v1/policies/" + pol, "/v1/policies/pol-404", service.CodeUnknownPolicy},
+	} {
+		if status, body := serve(t, h, http.MethodDelete, tc.path, ""); status != http.StatusNoContent {
+			t.Fatalf("DELETE %s = %d %s, want 204", tc.path, status, body)
+		}
+		wantCode(t, h, http.MethodGet, tc.path, tc.code)
+		wantCode(t, h, http.MethodDelete, tc.path, tc.code)
+		wantCode(t, h, http.MethodDelete, tc.unknown, tc.code)
+	}
+}
+
+// serve runs one request against h and fails the test if no response
+// arrives within 5 s.
+func serve(t *testing.T, h http.Handler, method, path, body string) (int, string) {
+	t.Helper()
+	done := make(chan *httptest.ResponseRecorder, 1)
+	go func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+		done <- rec
+	}()
+	select {
+	case rec := <-done:
+		return rec.Code, rec.Body.String()
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s %s: no response within 5s (deadlock?)", method, path)
+		return 0, ""
+	}
+}
+
+func createID(t *testing.T, h http.Handler, path, body string) string {
+	t.Helper()
+	status, resp := serve(t, h, http.MethodPost, path, body)
+	var out struct{ ID string }
+	if status != http.StatusCreated || json.Unmarshal([]byte(resp), &out) != nil {
+		t.Fatalf("POST %s = %d %s, want 201 with an id", path, status, resp)
+	}
+	return out.ID
+}
+
+func wantCode(t *testing.T, h http.Handler, method, path, code string) {
+	t.Helper()
+	status, resp := serve(t, h, method, path, "")
+	var out struct{ Error struct{ Code string } }
+	if status != http.StatusNotFound || json.Unmarshal([]byte(resp), &out) != nil || out.Error.Code != code {
+		t.Fatalf("%s %s = %d %s, want 404 %s", method, path, status, resp, code)
 	}
 }
 
